@@ -68,7 +68,9 @@ SweepResult pingpong(const net::Profile& profile, const std::string& netmod,
   o.ranks_per_node = 1;  // inter-node cost parameters
   o.eager_threshold = eager_threshold;
   World w(2, o);
-  SweepResult res;
+  // One result per rank thread, merged after the run: the ranks finish
+  // concurrently, so a shared accumulator would race.
+  SweepResult per_rank[2];
   double best = 0.0;
   w.run([&](Engine& e) {
     std::vector<std::vector<char>> bufs(static_cast<std::size_t>(nbufs));
@@ -91,11 +93,19 @@ SweepResult pingpong(const net::Profile& profile, const std::string& netmod,
         e.send(&ack, 1, kChar, 0, 8, kCommWorld);
       }
     }
-    res.reg_hits += read_pvar(e, "rdma_reg_cache_hits");
-    res.reg_misses += read_pvar(e, "rdma_reg_cache_misses");
-    res.reg_evictions += read_pvar(e, "rdma_reg_cache_evictions");
-    res.zcopy_writes += read_pvar(e, "rdma_zero_copy_writes");
+    SweepResult& mine = per_rank[e.world_rank()];
+    mine.reg_hits = read_pvar(e, "rdma_reg_cache_hits");
+    mine.reg_misses = read_pvar(e, "rdma_reg_cache_misses");
+    mine.reg_evictions = read_pvar(e, "rdma_reg_cache_evictions");
+    mine.zcopy_writes = read_pvar(e, "rdma_zero_copy_writes");
   });
+  SweepResult res;
+  for (const SweepResult& r : per_rank) {
+    res.reg_hits += r.reg_hits;
+    res.reg_misses += r.reg_misses;
+    res.reg_evictions += r.reg_evictions;
+    res.zcopy_writes += r.zcopy_writes;
+  }
   res.ns_per_iter = best;
   return res;
 }

@@ -292,9 +292,10 @@ Err Engine::isend_all_opts(const void* buf, int count, Datatype dt, Rank world_d
     dt::pack(types_, buf, count, dt, pkt->payload.data());
   }
   cost::charge(cost::Category::MandInject, cost::kAllOptsInject);
-  sends_issued_.fetch_add(1, std::memory_order_relaxed);
-  vcis_[c.vci]->counters.inc(obs::VciCtr::SendEager);
-  vcis_[c.vci]->counters.inc(obs::VciCtr::SendNoreq);
+  Vci& v = *vcis_[c.vci];
+  obs::relaxed_add(v.sends, 1);
+  v.counters.inc(obs::VciCtr::SendEager);
+  v.counters.inc(obs::VciCtr::SendNoreq);
   if (cfg_.trace) {
     const std::uint64_t seq = obs::trace::next_seq();
     pkt->hdr.seq = seq;
@@ -305,10 +306,9 @@ Err Engine::isend_all_opts(const void* buf, int count, Datatype dt, Rank world_d
     // per-request completion site to record.
     trace_msg(obs::trace::Ev::Complete, seq, vci8, world_dest, 0, bytes);
   }
-  vcis_[c.vci]->busy_instr.fetch_add(
-      cost::kAllOptsLocality + cost::kAllOptsCtxLoad + cost::kAllOptsCounter +
-          cost::kAllOptsAddrLoad + cost::kAllOptsInject,
-      std::memory_order_relaxed);
+  obs::relaxed_add(v.busy_instr, cost::kAllOptsLocality + cost::kAllOptsCtxLoad +
+                                     cost::kAllOptsCounter + cost::kAllOptsAddrLoad +
+                                     cost::kAllOptsInject);
   fabric_.inject(self_, world_dest, pkt);
   return Err::Success;
 }
@@ -367,11 +367,12 @@ Err Engine::issue_send(const SendParams& p, const CommObject& c, Rank dst_world,
   std::lock_guard<std::recursive_mutex> lk(v.mu);
   // Message-lifetime start edge (0 when this message is not sampled): eager
   // sends record at local completion below; rendezvous sends carry it in the
-  // slot until the CTS completion site (progress.cpp).
+  // slot until the CTS completion site (progress.cpp); hdr.timed carries the
+  // decision to the fabric's send stamp.
   const std::uint64_t lat_t0 = v.lat.arm() ? obs::lat_now_ns() : 0;
   // Simulated-CPU mode: execute the modeled software path length as time.
   rt::spin_for_ns(sim_send_ns_);
-  v.busy_instr.fetch_add(send_instr_, std::memory_order_relaxed);
+  obs::relaxed_add(v.busy_instr, send_instr_);
   // Datatype resolution: real work either way; the modeled charge is the
   // "redundant runtime check" that link-time inlining folds away for
   // compile-time-constant datatypes.
@@ -427,6 +428,7 @@ Err Engine::issue_send(const SendParams& p, const CommObject& c, Rank dst_world,
     pkt->hdr.src_world = self_;
     pkt->hdr.tag = p.tag;
     pkt->hdr.total_bytes = bytes;
+    pkt->hdr.timed = lat_t0 != 0;
     if (types_.is_contiguous(p.dt)) {
       pkt->set_payload(p.buf, bytes);
     } else {
@@ -477,6 +479,7 @@ Err Engine::issue_send(const SendParams& p, const CommObject& c, Rank dst_world,
     rts->hdr.total_bytes = bytes;
     rts->hdr.origin_req = r;
     rts->hdr.seq = tseq;
+    rts->hdr.timed = lat_t0 != 0;
     // Offer zero-copy handoff when the backend can write into a registered
     // remote buffer; the receiver accepts (CTS carries an rkey) only if its
     // own buffer is contiguous and large enough. The send buffer need not be
@@ -486,7 +489,7 @@ Err Engine::issue_send(const SendParams& p, const CommObject& c, Rank dst_world,
     inject_or_queue(v, dst_world, rts);
   }
 
-  sends_issued_.fetch_add(1, std::memory_order_relaxed);
+  obs::relaxed_add(v.sends, 1);
   if (req != nullptr) *req = p.noreq ? kRequestNull : r;
   return Err::Success;
 }
@@ -499,7 +502,7 @@ void Engine::inject_or_queue(Vci& v, Rank dst_world, rt::Packet* pkt) {
     // event is recorded when drain_send_queue pushes it onto the fabric.
     v.counters.inc(obs::VciCtr::SendQueued);
     v.send_queue.push_back(
-        QueuedSend{pkt, dst_world, v.lat.arm() ? obs::lat_now_ns() : 0});
+        QueuedSend{pkt, dst_world, pkt->hdr.timed != 0 ? obs::lat_now_ns() : 0});
     v.send_q_depth.fetch_add(1, std::memory_order_release);
   } else {
     if (cfg_.trace && pkt->hdr.seq != 0) {

@@ -168,6 +168,12 @@ int Engine::vci_of(Comm comm) const noexcept {
   return c == nullptr ? -1 : static_cast<int>(c->vci);
 }
 
+std::uint64_t Engine::sends_issued() const noexcept {
+  std::uint64_t n = 0;
+  for (const auto& v : vcis_) n += v->sends.load(std::memory_order_relaxed);
+  return n;
+}
+
 std::uint64_t Engine::vci_busy_instr(int vci) const noexcept {
   return vcis_[static_cast<std::size_t>(vci)]->busy_instr.load(std::memory_order_relaxed);
 }
@@ -609,7 +615,7 @@ std::uint64_t Engine::activity_fingerprint() const noexcept {
     fp = (fp ^ (x + 0x9E3779B97F4A7C15ull)) * 0xBF58476D1CE4E5B9ull;
   };
   mix(live_requests_.load(std::memory_order_relaxed));
-  mix(sends_issued_.load(std::memory_order_relaxed));
+  mix(sends_issued());
   mix(fabric_.injected(self_));
   mix(fabric_.delivered(self_));
   return fp;

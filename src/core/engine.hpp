@@ -336,9 +336,7 @@ class Engine {
   std::size_t unexpected_depth() const noexcept;  // summed over all VCIs
   std::size_t posted_depth(int vci) const noexcept;
   std::size_t unexpected_depth(int vci) const noexcept;
-  std::uint64_t sends_issued() const noexcept {
-    return sends_issued_.load(std::memory_order_relaxed);
-  }
+  std::uint64_t sends_issued() const noexcept;  // summed over all VCIs
 
   // --- VCI introspection ------------------------------------------------------
   int num_vcis() const noexcept { return static_cast<int>(vcis_.size()); }
@@ -633,7 +631,6 @@ class Engine {
   std::atomic<std::size_t> live_requests_{0};
   common::StableTable<WindowLocal> windows_;  // indexed by local win slot
   std::mutex win_mu_;   // serializes window-slot allocation
-  std::atomic<std::uint64_t> sends_issued_{0};
   // Whole-rank observability counters (progress-path statistics).
   obs::EngineCounters eng_counters_;
   // Blocking-call annotation (see blocking_call()). Written by obs::BlockScope

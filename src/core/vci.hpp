@@ -140,7 +140,7 @@ struct RequestSlot {
 struct QueuedSend {
   rt::Packet* pkt = nullptr;
   Rank dst_world = 0;
-  std::uint64_t enq_ts = 0;  // obs::lat_now_ns() at enqueue (0 = unstamped)
+  std::uint64_t enq_ts = 0;  // lat_now_ns() at enqueue if hdr.timed, else 0
 };
 
 // Per-VCI request pool: stable slot storage plus a spinlocked free list. The
@@ -173,7 +173,11 @@ struct Vci {
   // (software path lengths + contention penalties). The VCI scaling benchmark
   // derives its aggregate message rate from the busiest lane's total, the
   // same way the paper converts Table-1 instruction counts into rates.
+  // Single writer (obs::relaxed_add): writers hold `mu`, except the gate-free
+  // ISEND_ALL_OPTS path, run by the thread that owns the channel.
   std::atomic<std::uint64_t> busy_instr{0};
+  std::atomic<std::uint64_t> sends{0};  // sends issued; same writers
+
   // Diagnostics: how often the gate missed its uncontended fast path.
   std::atomic<std::uint64_t> contended{0};
   // Always-on observability counters for this channel, exposed through the
@@ -209,10 +213,10 @@ class VciGate {
     if (v_ == nullptr) return;  // invalid handle: checks below will reject
     if (!v_->mu.try_lock()) {
       cost::charge(cost::Category::ThreadGate, cost::kThreadGateContended);
-      v_->contended.fetch_add(1, std::memory_order_relaxed);
-      v_->counters.inc(obs::VciCtr::GateContended);
-      v_->busy_instr.fetch_add(cost::kThreadGateContended, std::memory_order_relaxed);
       v_->mu.lock();
+      obs::relaxed_add(v_->contended, 1);
+      v_->counters.inc(obs::VciCtr::GateContended);
+      obs::relaxed_add(v_->busy_instr, cost::kThreadGateContended);
     }
   }
   ~VciGate() {

@@ -59,9 +59,10 @@ class Fabric {
   // stamps latency, and enqueues into the destination lane. In blackhole mode
   // the packet is dropped at this boundary (Figure 5/6 methodology).
   //
-  // The facade stamps the causal header here -- Lamport tick plus send
-  // timestamp -- so both backends carry it without transport changes:
-  //   L := ++clock[src];  hdr.lclock = L;  hdr.send_ns = lat_now_ns().
+  // The facade stamps the causal header here, so both backends carry it
+  // without transport changes, but only what something reads:
+  //   set_causal(true):          L := ++clock[src];  hdr.lclock = L;
+  //   that, or hdr.timed set:    hdr.send_ns = lat_now_ns().
   //
   // The aggregate profiler's rank x rank communication matrix is stamped at
   // the same boundary for the same reason. The stamp sits before the backend
@@ -69,12 +70,12 @@ class Fabric {
   // refuses blackhole worlds, so matrix bytes track the backends' own
   // injected_bytes counters exactly (the profcheck invariant).
   void inject(Rank src, Rank dst, rt::Packet* p) noexcept {
-    if (src >= 0 && src < nranks()) {
+    if (causal_ && src >= 0 && src < nranks()) {
       p->hdr.lclock =
           clock_[static_cast<std::size_t>(src)].fetch_add(1, std::memory_order_relaxed) +
           1;
     }
-    p->hdr.send_ns = obs::lat_now_ns();
+    if (causal_ || p->hdr.timed != 0) p->hdr.send_ns = obs::lat_now_ns();
     if (prof_ != nullptr) prof_->on_inject(src, dst, p->hdr.kind, p->payload.size());
     mod_->inject(src, dst, p);
   }
@@ -174,6 +175,10 @@ class Fabric {
     prof_ = (p != nullptr && !mod_->profile().blackhole) ? p : nullptr;
   }
 
+  // Tick the Lamport clock and stamp send_ns on every packet. World sets this
+  // from BuildConfig::trace, whose events are the clock's only readers.
+  void set_causal(bool on) noexcept { causal_ = on; }
+
  private:
   // The facade-wide vci bounds policy: anything outside [0, lanes) reads lane
   // 0, matching inject's fallback, so no index computed from a packet header
@@ -185,6 +190,7 @@ class Fabric {
   std::unique_ptr<Netmod> mod_;
   // Per-rank Lamport logical clocks, ticked at inject and merged at poll.
   std::unique_ptr<std::atomic<std::uint64_t>[]> clock_;
+  bool causal_ = false;
   // Aggregate-profiler hook (null when profiling is off): one predictable
   // branch on the injection path, matching the counters discipline.
   obs::Profiler* prof_ = nullptr;

@@ -54,8 +54,12 @@ inline constexpr std::size_t kNumEngCtrs = static_cast<std::size_t>(EngCtr::kCou
 // there is one writer at a time and the store is exact -- at a third of the
 // cost of a locked RMW, which is what keeps the hooks inside the 3% overhead
 // budget bench_obs_overhead enforces. The few sites that tick without a lock
-// (the progress idle fast path, gate-contention diagnostics) may lose a tick
-// under a concurrent writer; values are never torn and readers never race.
+// (the progress idle fast path, ISEND_ALL_OPTS) may lose a tick under a
+// concurrent writer; values are never torn and readers never race.
+inline void relaxed_add(std::atomic<std::uint64_t>& a, std::uint64_t n) noexcept {
+  a.store(a.load(std::memory_order_relaxed) + n, std::memory_order_relaxed);
+}
+
 template <typename Enum, std::size_t N>
 struct alignas(64) CounterBlock {
   std::array<std::atomic<std::uint64_t>, N> c{};
@@ -64,9 +68,7 @@ struct alignas(64) CounterBlock {
   bool enabled = true;
 
   void inc(Enum e, std::uint64_t n = 1) noexcept {
-    if (!enabled) return;
-    auto& a = c[static_cast<std::size_t>(e)];
-    a.store(a.load(std::memory_order_relaxed) + n, std::memory_order_relaxed);
+    if (enabled) relaxed_add(c[static_cast<std::size_t>(e)], n);
   }
   // Saturates at zero: a level counter whose inc lost a tick to the documented
   // lock-free race (see the block comment above) must not wrap a later dec to

@@ -66,11 +66,12 @@ struct PacketHeader {
   std::uint64_t seq = 0;            // trace message id (0 = tracing off)
   std::uint64_t rkey = 0;           // registered-buffer token (zero-copy rdv Cts)
   std::uint8_t zcopy = 0;           // Rts: sender offers zero-copy handoff
+  std::uint8_t timed = 0;           // sender's latency sampling gate fired
 
   // Causal header (observability tier 4, obs/causal.hpp). Stamped by the
   // net::Fabric facade at the injection boundary so every backend carries it.
-  std::uint64_t send_ns = 0;        // obs::lat_now_ns() when injected
-  std::uint64_t lclock = 0;         // origin's Lamport clock after the inject tick
+  std::uint64_t send_ns = 0;        // obs::lat_now_ns() when injected, or 0
+  std::uint64_t lclock = 0;         // origin's Lamport clock after the tick, or 0
   std::uint32_t stall_ns = 0;       // ns the injection busy-waited for a ring credit
 };
 

@@ -70,6 +70,7 @@ World::World(int nranks, WorldOptions opts)
       fabric_(nranks, opts_.ranks_per_node, opts_.profile, opts_.build.vcis(),
               opts_.netmod),
       next_ctx_(kFirstDynamicCtx) {
+  fabric_.set_causal(opts_.build.trace);
   if (opts_.prof) {
     profiler_ = std::make_unique<obs::Profiler>(nranks_, opts_.build.vcis(),
                                                 opts_.prof_default_phase);

@@ -20,6 +20,7 @@
 #include "obs/causal.hpp"
 #include "obs/pvar.hpp"
 #include "obs/trace.hpp"
+#include "runtime/packet.hpp"
 #include "util.hpp"
 
 namespace lwmpi {
@@ -137,11 +138,11 @@ TEST(EvStrings, RoundTrip) {
 
 // --- injected-delay classification + critical path ---------------------------
 
-WorldOptions causal_opts(const std::string& netmod) {
+WorldOptions causal_opts(const std::string& netmod, bool traced = true) {
   WorldOptions o;
   o.netmod = netmod;
   o.ranks_per_node = 1;          // inter-node: exercise the full netmod path
-  o.build.trace = true;
+  o.build.trace = traced;
   o.build.lat_sample_shift = 0;  // stamp every message so every match classifies
   return o;
 }
@@ -149,12 +150,12 @@ WorldOptions causal_opts(const std::string& netmod) {
 // One warmup exchange plus one delayed message; returns the merged trace.
 std::vector<trace::Event> run_delayed(const std::string& netmod, bool delay_sender,
                                       std::uint64_t* wait_count,
-                                      std::uint64_t* wait_max_ns) {
+                                      std::uint64_t* wait_max_ns, bool traced = true) {
   const auto kDelay = std::chrono::milliseconds(20 * kDelayScale);
   trace::reset_all();
   std::vector<trace::Event> events;
   {
-    World w(2, causal_opts(netmod));
+    World w(2, causal_opts(netmod, traced));
     w.run([&](Engine& e) {
       char b = 0;
       // Warmup: both ranks get a timeline origin for the analyzer to anchor
@@ -296,6 +297,92 @@ TEST(RegCacheMiss, ZcopyRegistrationPinsAreRecorded) {
   EXPECT_GE(read_pvar(w.engine(1), "wait_reg_cache_miss_count"), 1u);
   EXPECT_GE(read_pvar(w.engine(0), "wait_reg_cache_miss_count"), 1u);
   EXPECT_GE(read_pvar(w.engine(1), "wait_reg_cache_miss_max_ns"), 50'000u);
+}
+
+// --- when the causal header is stamped ---------------------------------------
+
+// The engine of rank `from`, driven from the test thread, sends `n` 1-byte
+// eager messages to rank `to` (tags 0..n-1). Rank `to` never runs, so its lane
+// still holds every packet; they are drained straight from the fabric and
+// their headers returned in arrival order.
+std::vector<rt::PacketHeader> send_and_drain(World& w, Rank from, Rank to, int n) {
+  Engine& e = w.engine(from);
+  char b = 0;
+  for (int i = 0; i < n; ++i) {
+    Request r = kRequestNull;
+    EXPECT_EQ(e.isend(&b, 1, kChar, to, i, kCommWorld, &r), Err::Success);
+    EXPECT_EQ(e.wait(&r, nullptr), Err::Success);
+  }
+  std::vector<rt::PacketHeader> out;
+  while (rt::Packet* p = w.fabric().poll(to, 0)) {
+    out.push_back(p->hdr);
+    rt::PacketPool::free(p);
+  }
+  return out;
+}
+
+class TraceOffGating : public ::testing::TestWithParam<DeviceKind> {};
+
+TEST_P(TraceOffGating, StampsOnlySampledSendsAndNoClock) {
+  constexpr int kMsgs = 130;
+  WorldOptions o = test::fast_opts(GetParam());
+  ASSERT_FALSE(o.build.trace);
+  ASSERT_EQ(o.build.lat_sample_shift, 6);  // the default: 1 send in 64 sampled
+  World w(2, o);
+  const std::vector<rt::PacketHeader> hdrs = send_and_drain(w, 0, 1, kMsgs);
+  ASSERT_EQ(hdrs.size(), static_cast<std::size_t>(kMsgs));
+  int stamped = 0;
+  for (int i = 0; i < kMsgs; ++i) {
+    const rt::PacketHeader& h = hdrs[static_cast<std::size_t>(i)];
+    ASSERT_EQ(h.tag, i);
+    // Rank 0's channel arms its sampling gate once per send, on ticks 0, 64
+    // and 128; only those packets carry a send stamp.
+    EXPECT_EQ(h.send_ns != 0, i % 64 == 0) << "message " << i;
+    EXPECT_EQ(h.lclock, 0u) << "message " << i;
+    stamped += h.send_ns != 0 ? 1 : 0;
+  }
+  EXPECT_EQ(stamped, 3);
+  EXPECT_EQ(w.fabric().lclock(0), 0u);
+  EXPECT_EQ(w.fabric().lclock(1), 0u);
+  // The orig device's send-queue residency histogram follows the same
+  // per-message decision.
+  const std::uint64_t queued = GetParam() == DeviceKind::Orig ? 3 : 0;
+  EXPECT_EQ(read_pvar(w.engine(0), "lat_send_queue_wait_count"), queued);
+}
+
+INSTANTIATE_TEST_SUITE_P(BothDevices, TraceOffGating,
+                         ::testing::Values(DeviceKind::Ch4, DeviceKind::Orig));
+
+TEST(CausalGating, TraceOnStampsEveryPacketWithIncreasingClock) {
+  constexpr int kMsgs = 8;
+  trace::reset_all();
+  WorldOptions o = test::fast_opts();
+  o.build.trace = true;  // default sampling shift: the trace alone stamps
+  World w(2, o);
+  for (Rank from : {0, 1}) {
+    const std::vector<rt::PacketHeader> hdrs = send_and_drain(w, from, 1 - from, kMsgs);
+    ASSERT_EQ(hdrs.size(), static_cast<std::size_t>(kMsgs));
+    std::uint64_t prev = 0;
+    for (const rt::PacketHeader& h : hdrs) {
+      EXPECT_EQ(h.src_world, from);
+      EXPECT_NE(h.send_ns, 0u);
+      EXPECT_GT(h.lclock, prev) << "rank " << from;
+      prev = h.lclock;
+    }
+    EXPECT_GE(w.fabric().lclock(from), prev);
+  }
+  trace::reset_all();
+}
+
+TEST(CausalGating, FullSamplingClassifiesWithTraceOff) {
+  // lat_sample_shift = 0 arms every send and every receive, so the sender's
+  // stamp and the receiver's post stamp meet on every match without tracing.
+  std::uint64_t count = 0, max_ns = 0;
+  const auto events =
+      run_delayed("mailbox", /*delay_sender=*/true, &count, &max_ns, /*traced=*/false);
+  EXPECT_GE(count, 1u);
+  EXPECT_GE(max_ns, 10 * kMs);
+  EXPECT_TRUE(events.empty());
 }
 
 // --- Lamport ordering across the wire ----------------------------------------

@@ -2,8 +2,10 @@
 // protocols, wildcards, ordering, truncation, and probe.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstring>
 #include <numeric>
+#include <type_traits>
 #include <vector>
 
 #include "util.hpp"
@@ -15,10 +17,18 @@ using test::fast_opts;
 using test::spmd;
 
 // Parameter: (device, message bytes). Sizes straddle the eager threshold.
+// gtest prints a parameter without a PrintTo as its raw bytes, and CTest
+// names each case after that print, so the struct has no implicit padding:
+// the 4 bytes after `device` are an explicit zero field. Uninitialised
+// padding would put stack residue into the test names and change them from
+// run to run.
 struct PtParam {
+  PtParam(DeviceKind d, std::size_t b) : device(d), bytes(b) {}
   DeviceKind device;
+  std::uint32_t zero_pad = 0;
   std::size_t bytes;
 };
+static_assert(std::has_unique_object_representations_v<PtParam>);
 
 class Pt2PtSweep : public ::testing::TestWithParam<PtParam> {};
 

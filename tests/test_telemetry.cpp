@@ -491,6 +491,11 @@ TEST(SamplerRace, RingOverwriteUnderHotVciLoad) {
   EXPECT_EQ(sampler.ring_depth(), 4u);
 
   w.run([&](Engine& e) { hot_vci_loop(e, 400); });
+  // The sampler keeps ticking after the run. On a loaded host the run can end
+  // before the sampling thread got its fifth 1ms slot, so give it up to 2 s.
+  for (int i = 0; i < 2000 && sampler.ticks() <= 4; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
 
   // The 1ms cadence must have lapped the 4-deep ring: retention is bounded,
   // overwrite-oldest, and the survivors are the newest contiguous ticks.
